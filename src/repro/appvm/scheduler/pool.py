@@ -26,6 +26,7 @@ program reused across batches, unbounded job slots, drain-style
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from dataclasses import asdict
 from typing import Any, Dict, Iterable, List, Optional
@@ -39,14 +40,7 @@ from ...fem import (
 )
 from ...hardware.machine import MachineConfig
 from ...langvm import Fem2Program
-from ...lint import (
-    COST_SCHEMA,
-    FLOW_SCHEMA,
-    cost_report,
-    flow_summary,
-    lint_program,
-    machine_env,
-)
+from ...lint import COST_SCHEMA, FLOW_SCHEMA, machine_env, program_facts
 from ..model import AnalysisResult
 from .dispatch import FairShareQueue
 from .handle import JobHandle
@@ -55,6 +49,20 @@ from .spec import JobSpec, JobState, Tenant
 
 #: schema tag of machine/service checkpoint blobs (unchanged since PR 3)
 CKPT_SCHEMA = "fem2-ckpt/1"
+
+#: modules whose frames sit between a caller and the admission checks:
+#: this pool and the :class:`~repro.appvm.MachineService` wrapper
+_SUBMIT_MODULES = frozenset({__name__, "repro.appvm.service"})
+
+
+def _warn_at_submitter(message: str) -> None:
+    """Warn at the line that called ``submit`` — the first frame outside
+    :data:`_SUBMIT_MODULES` — whichever entry point it went through."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None \
+            and frame.f_globals.get("__name__") in _SUBMIT_MODULES:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
 
 
 def rebuild_program(config: MachineConfig, state: Dict[str, Any],
@@ -313,8 +321,7 @@ class ServicePool:
         # machine clock); multi-machine pools trace at the sched.* level
         machine_tracer = tracer if (persistent and n_machines == 1) else None
         #: compiled plans per registry type tuple, shared by every pool
-        #: machine (the submit-time analogue of the lint-gate cache
-        #: below).  Pass *plan_cache* to share one cache across several
+        #: machine.  Pass *plan_cache* to share one cache across several
         #: pools/services in a process — a campaign worker runs one
         #: point per fresh service, and points with the same registry
         #: shape then reuse one submit-time compilation.
@@ -339,9 +346,6 @@ class ServicePool:
         }
         self._ids = itertools.count(1)
         self._finished_unclaimed: List[JobHandle] = []
-        self._lint_cache: Dict[tuple, object] = {}
-        #: predicted cost units per (model, load set, workers, tol)
-        self._cost_cache: Dict[tuple, int] = {}
 
     # -- submission ---------------------------------------------------------
 
@@ -394,24 +398,21 @@ class ServicePool:
         self.queue.push(handle)
 
     def _lint_gate(self, mode: str) -> None:
-        """Run :func:`repro.lint.lint_program` over the task types
-        registered on the pool's front machine (cached per registry
-        state) and enforce its findings before admission.  The gate also
-        extracts the program's static route summary (``fem2-flow/1``)
-        and cost bounds (``fem2-cost/1``), posting both on the tracer as
-        ``lint.flow`` / ``lint.cost`` points, so every admitted job
-        carries its predicted communication structure and cost."""
+        """Enforce the lint findings of the task types registered on the
+        pool's front machine before admission.  The findings come from
+        the process-wide :func:`repro.lint.program_facts` cache (keyed by
+        registry content).  With tracing on, the gate also posts the
+        program's static route summary (``fem2-flow/1``) and cost bounds
+        (``fem2-cost/1``) as ``lint.flow`` / ``lint.cost`` points, so
+        every admitted job carries its predicted communication structure
+        and cost."""
         program = self.machines[0].program
-        key = tuple(program.runtime.registry.types())
-        cached = self._lint_cache.get(key)
-        if cached is None:
-            cached = (lint_program(program), flow_summary(program),
-                      cost_report(program))
-            self._lint_cache[key] = cached
-        report, flow, cost = cached
+        facts = program_facts(program)
+        report = facts.lint_report
         report.emit(program.runtime.obs, program.now)
         tr = program.runtime.obs
         if tr is not None and getattr(tr, "enabled", False):
+            flow, cost = facts.flow_summary, facts.cost_report
             tr.point("lint.flow", "static routes", program.now,
                      schema=FLOW_SCHEMA, tasks=len(flow.tasks),
                      routes=len(flow.routes),
@@ -424,8 +425,7 @@ class ServicePool:
         rendered = "; ".join(f.render() for f in report.findings)
         if mode == "error" and report.errors:
             raise AppVMError(f"program rejected by static analysis: {rendered}")
-        warnings.warn(f"static analysis findings: {rendered}",
-                      UserWarning, stacklevel=4)
+        _warn_at_submitter(f"static analysis findings: {rendered}")
 
     # -- predicted cost ------------------------------------------------------
 
@@ -445,35 +445,31 @@ class ServicePool:
                        f"for {spec.model.name!r}")
                 if spec.lint == "error":
                     raise AppVMError(f"job rejected by cost check: {msg}")
-                warnings.warn(msg, UserWarning, stacklevel=3)
+                _warn_at_submitter(msg)
         return spec.cost_units
 
     def _predicted_cost_units(self, spec: JobSpec) -> int:
         """Predicted guaranteed-minimum cycles of one solve, from the
         ``fem2-cost/1`` report of the job's task types registered on a
-        scratch program (cached per solve shape).  Unresolved program
+        scratch program (analyzed once per registry content, see
+        :func:`repro.lint.program_facts`).  Unresolved program
         parameters evaluate at zero — sound for a lower bound, since
         every cost parameter is non-negative."""
-        key = (spec.model.name, spec.load_set, spec.workers, spec.tol)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            scratch = Fem2Program(self.config)
-            register_parallel_cg(
-                scratch,
-                spec.model.require_mesh(),
-                spec.model.material,
-                spec.model.require_constraints(),
-                spec.model.load_set(spec.load_set),
-                n_workers=spec.workers,
-                tol=spec.tol,
-                worker_name="cost.cg_worker",
-                root_name="cost.cg_root",
-            )
-            lo, _hi = cost_report(scratch).cycles.evaluate(
-                machine_env(self.config), default=0.0)
-            cached = max(1, int(lo))
-            self._cost_cache[key] = cached
-        return cached
+        scratch = Fem2Program(self.config)
+        register_parallel_cg(
+            scratch,
+            spec.model.require_mesh(),
+            spec.model.material,
+            spec.model.require_constraints(),
+            spec.model.load_set(spec.load_set),
+            n_workers=spec.workers,
+            tol=spec.tol,
+            worker_name="cost.cg_worker",
+            root_name="cost.cg_root",
+        )
+        lo, _hi = program_facts(scratch).cost_report.cycles.evaluate(
+            machine_env(self.config), default=0.0)
+        return max(1, int(lo))
 
     # -- dispatch -----------------------------------------------------------
 

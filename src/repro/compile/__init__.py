@@ -26,7 +26,7 @@ matrix: compiled runs produce identical results, clocks, metrics, and
 byte-identical ``fem2-ckpt/1`` blobs versus both existing engines.
 :class:`~repro.langvm.Fem2Program` invokes all of this automatically
 when its machine resolves to ``engine="compiled"``; the service pool
-caches plans per registry-type tuple next to its lint-gate cache.
+caches plans per registry-type tuple.
 """
 
 from .analyze import compile_program

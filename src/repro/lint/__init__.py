@@ -5,7 +5,9 @@ this package rejects whole classes of violation *before* a single
 simulated cycle is spent.  Three entry points:
 
 * :func:`lint_program` — inspect a built :class:`~repro.langvm.Fem2Program`'s
-  registered task generators (used by the ``JobSpec.lint`` admission gate),
+  registered task generators; :func:`program_facts` serves the same
+  analysis, cached by registry content, to the ``JobSpec.lint`` admission
+  gate and the pool's cost check (see :mod:`repro.lint.facts`),
 * :func:`lint_paths` / :func:`lint_source` — lint files or source text,
 * ``python -m repro.lint [paths...]`` — the CLI (repo architecture
   included when a ``repro`` package root is among the paths).
@@ -21,11 +23,6 @@ severity, and the report exports to the same plain-record form as the
 """
 
 from __future__ import annotations
-
-import ast
-import inspect
-import textwrap
-from typing import List
 
 from .api import check_package_api, check_public_api
 from .astutil import TaskInfo, analyze_task, collect_tasks
@@ -43,6 +40,7 @@ from .cost import (
     machine_env,
 )
 from .deprecated import check_deprecated_api
+from .facts import ProgramFacts, lint_tasks, program_facts, registry_tasks
 from .findings import CODES, SCHEMA, Finding, LintReport
 from .flow import (
     FLOW_SCHEMA,
@@ -67,47 +65,10 @@ from .snapshots import check_snapshots
 from .spans import check_span_balance
 
 
-def registry_tasks(program) -> List[TaskInfo]:
-    """Extract a :class:`TaskInfo` per task type registered on a program.
-
-    Walks the program's :class:`~repro.sysvm.code.CodeRegistry` and
-    recovers each task body's source via :mod:`inspect`.  Bodies whose
-    source cannot be recovered (built in a REPL, generated) are skipped
-    — the run-time audit still covers them.
-    """
-    registry = program.runtime.registry
-    tasks: List[TaskInfo] = []
-    for name in registry.types():
-        body = registry.get(name).body
-        try:
-            src = textwrap.dedent(inspect.getsource(body))
-            file = inspect.getsourcefile(body) or "<unknown>"
-            _, start = inspect.getsourcelines(body)
-        except (OSError, TypeError):
-            continue
-        try:
-            tree = ast.parse(src)
-        except SyntaxError:
-            continue
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                # snippet line k is file line start + k - 1 (the snippet
-                # begins at the decorator, which getsourcelines includes)
-                tasks.append(analyze_task(node, file, registered_name=name,
-                                          line_offset=start - 1,
-                                          registered=True))
-                break
-    return tasks
-
-
 def lint_program(program) -> LintReport:
     """Lint every task type registered on a built program (the
     :class:`~repro.appvm.JobSpec` admission gate's entry point)."""
-    tasks = registry_tasks(program)
-    files = {t.file for t in tasks}
-    report = LintReport(files_checked=len(files), tasks_checked=len(tasks))
-    report.extend(check_tasks(tasks))
-    return report
+    return lint_tasks(registry_tasks(program))
 
 
 def flow_summary(program) -> FlowSummary:
@@ -134,6 +95,7 @@ __all__ = [
     "FlowSummary",
     "LintCache",
     "LintReport",
+    "ProgramFacts",
     "SoundnessResult",
     "TaskCost",
     "TaskGraph",
@@ -172,6 +134,7 @@ __all__ = [
     "machine_env",
     "main",
     "observed_edges",
+    "program_facts",
     "registry_tasks",
     "summarize",
     "task_blockers",

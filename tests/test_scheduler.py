@@ -2,6 +2,10 @@
 service — admission quotas, fair-share dispatch, and checkpoint-based
 preemption with bit-identical resume."""
 
+import sys
+import warnings
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from repro.appvm.scheduler import fairness_index, jain_index
 from repro.errors import AppVMError
 from repro.fem import LoadSet, Material, rect_grid, static_solve
 from repro.hardware import MachineConfig
+from repro.lint import facts
 from repro.obs import Tracer
 from repro.perf import diff_values
 
@@ -41,6 +46,19 @@ def spec_for(user, model, **kw):
     kw.setdefault("workers", 1)
     kw.setdefault("tol", 1e-6)
     return JobSpec(user=user, model=model, load_set="case", **kw)
+
+
+@pytest.fixture
+def fresh_facts(monkeypatch):
+    """An empty process-wide facts cache for one test (restored after)."""
+    cache = OrderedDict()
+    monkeypatch.setattr(facts, "_cache", cache)
+    return cache
+
+
+def facts_entries(cache):
+    """The per-registry-state entries of the facts cache."""
+    return [v for v in cache.values() if isinstance(v, facts.ProgramFacts)]
 
 
 class TestAdmissionQuotas:
@@ -131,12 +149,17 @@ class TestCostAdmission:
         # the run costs at least what the model guaranteed
         assert roomy.tenants.get("capped").consumed >= predicted
 
-    def test_predicted_cost_is_cached_per_solve_shape(self):
+    def test_predicted_cost_is_cached_per_solve_shape(self, fresh_facts):
         pool = ServicePool(n_machines=1, config=small_config())
         spec = spec_for("a", make_model("m1"))
         first = pool._predicted_cost_units(spec)
+        entries = dict(fresh_facts)
+        assert len(facts_entries(fresh_facts)) == 1
+        # a second job of the same shape under another name is a pure hit
+        again = spec_for("b", make_model("m1.again"))
         assert pool._predicted_cost_units(spec) == first
-        assert len(pool._cost_cache) == 1
+        assert pool._predicted_cost_units(again) == first
+        assert dict(fresh_facts) == entries
 
     def test_declared_below_predicted_bound_is_lint_checked(self):
         pool = ServicePool(n_machines=1, config=small_config())
@@ -158,22 +181,136 @@ class TestCostAdmission:
                                  cost_units=predicted + 10**6, lint="warn"))
         pool.run()
 
-    def test_lint_gate_caches_cost_report(self):
-        from repro.lint import CostReport, LintReport
+    def test_lint_gate_caches_cost_report(self, fresh_facts):
+        from repro.lint import CostReport, LintReport, program_facts
         from repro.lint.flow import FlowSummary
-        pool = ServicePool(n_machines=1, config=small_config())
-        pool.submit(spec_for("a", make_model("m1"), lint="warn"))
-        (entry,) = pool._lint_cache.values()
-        report, flow, cost = entry
-        assert isinstance(report, LintReport)
-        assert isinstance(flow, FlowSummary)
-        assert isinstance(cost, CostReport)
-        pool.run()
+        tracer = Tracer()
+        svc = MachineService(config=small_config(), tracer=tracer)
+        # the facts of the registry state the gate is about to lint
+        entry = program_facts(svc.program)
+        svc.submit(spec_for("a", make_model("m1"), lint="warn"))
+        # the gate reused that entry; the cost check added its scratch one
+        assert len(facts_entries(fresh_facts)) == 2
+        assert entry in facts_entries(fresh_facts)
+        # a traced gate computed all three facts onto the shared entry
+        assert isinstance(entry.__dict__["lint_report"], LintReport)
+        assert isinstance(entry.__dict__["flow_summary"], FlowSummary)
+        assert isinstance(entry.__dict__["cost_report"], CostReport)
+        assert len(tracer.spans("lint.flow")) == 1
+        assert len(tracer.spans("lint.cost")) == 1
+        svc.run()
 
     def test_bad_cost_units_rejected_at_spec(self):
         with pytest.raises(AppVMError, match="cost_units"):
             JobSpec(user="a", model=make_model("m"), load_set="case",
                     cost_units=0)
+
+
+RACY_WRITER_SOURCE = """
+def warn_writer(ctx, out_w):
+    yield ctx.write(out_w, [1.0] * 4)
+
+
+def warn_root(ctx, out_w):
+    yield from forall(ctx, "warn_writer", 4, (out_w,))
+"""
+
+
+def register_racy(program, tmp_path):
+    """Register a W1-racy writer/root pair (real source file) on *program*."""
+    path = tmp_path / "warn_racy.py"
+    path.write_text("from repro.langvm.parallel import forall\n"
+                    + RACY_WRITER_SOURCE)
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    program.define("warn_writer", namespace["warn_writer"])
+    program.define("warn_root", namespace["warn_root"])
+
+
+class TestAdmissionWarnings:
+    """Gate and cost-check warnings point at the line that called
+    ``submit``, whichever entry point the caller used."""
+
+    @pytest.mark.parametrize("entry", ["pool", "service"])
+    @pytest.mark.parametrize("check", ["gate", "cost"])
+    def test_warning_points_at_submit_call(self, entry, check, tmp_path):
+        if entry == "pool":
+            target = ServicePool(n_machines=1, config=small_config())
+            program = target.machines[0].program
+        else:
+            target = MachineService(config=small_config())
+            program = target.program
+        kw = {"lint": "warn"}
+        if check == "gate":
+            register_racy(program, tmp_path)
+            match = "static analysis findings"
+        else:
+            kw["cost_units"] = 1
+            match = "below the predicted lower bound"
+        spec = spec_for("a", make_model("m1"), **kw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            target.submit(spec)
+        (warning,) = [w for w in caught if match in str(w.message)]
+        assert warning.category is UserWarning
+        assert warning.filename == __file__
+        assert warning.lineno == line
+
+
+class TestContentKeyedAdmission:
+    SHAPES = [(3, 2), (4, 2), (5, 3)]
+
+    def test_uniquely_named_jobs_share_one_entry_per_shape(self, fresh_facts,
+                                                          monkeypatch):
+        from repro.fem import register_parallel_cg
+        from repro.langvm import Fem2Program
+        from repro.lint import cost_report, machine_env
+
+        config = small_config()
+        pool = ServicePool(n_machines=2, config=config)
+        specs = [spec_for(f"u{i}", make_model(f"plate.{i}", nx, ny,
+                                              load=-1e3 * (i + 1)))
+                 for i, (nx, ny) in enumerate(self.SHAPES * 3)]
+        handles = [pool.submit(spec) for spec in specs]
+        predicted = [pool._predicted_cost_units(spec) for spec in specs]
+        pool.run()
+        assert all(h.done for h in handles)
+        # names never reach the key: every shape registers the same two
+        # CG bodies, so the nine jobs leave one entry (at most one per shape)
+        assert len(facts_entries(fresh_facts)) == 1 <= len(self.SHAPES)
+
+        # each prediction equals an uncached analysis of that spec's
+        # scratch program
+        monkeypatch.setattr(facts, "_cache", OrderedDict())
+        monkeypatch.setattr(facts, "CACHE_SIZE", 0)
+        for spec, got in zip(specs, predicted):
+            scratch = Fem2Program(config)
+            register_parallel_cg(
+                scratch, spec.model.require_mesh(), spec.model.material,
+                spec.model.require_constraints(),
+                spec.model.load_set(spec.load_set), n_workers=spec.workers,
+                tol=spec.tol, worker_name="cost.cg_worker",
+                root_name="cost.cg_root")
+            lo, _hi = cost_report(scratch).cycles.evaluate(
+                machine_env(config), default=0.0)
+            assert got == max(1, int(lo))
+        assert len(facts._cache) == 0
+
+    def test_drained_pool_holds_no_per_job_analysis_state(self):
+        def drained(n_jobs):
+            pool = ServicePool(n_machines=2, config=small_config())
+            for i in range(n_jobs):
+                pool.submit(spec_for(f"u{i}", make_model(f"m{n_jobs}.{i}"),
+                                     lint="warn"))
+            pool.run()
+            assert pool.stats["completed"] == n_jobs
+            # every dict the pool holds, by size; the compiled engine's
+            # plan cache is keyed by task names and is left out here
+            return {name: len(value) for name, value in vars(pool).items()
+                    if isinstance(value, dict) and name != "_plan_cache"}
+
+        assert drained(2) == drained(6)
 
 
 class TestLifecycle:
