@@ -5,8 +5,8 @@ pool of simulated FEM-2 machines and flow through the whole scheduler:
 admission quotas reject over-limit submissions, stride fair-share picks
 who runs next, and a forced preemption checkpoints a running job off
 its machine for a higher-priority one, then resumes it bit-identically
-— verified against an unpreempted control run with the
-:mod:`repro.perf` equivalence harness.
+— verified against an unpreempted control run with
+:func:`repro.perf.diff_values`.
 
 The sweep reports per-tenant cycles-per-share (the fairness contract),
 queue-wait latency percentiles (p50/p99, in service cycles), and the

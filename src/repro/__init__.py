@@ -16,7 +16,7 @@ every layer as running code:
 * :mod:`repro.analysis` — requirement estimation (Adams & Voigt, ref [8])
 * :mod:`repro.obs`      — observability spine: spans + structured export
 * :mod:`repro.lint`     — static race/deadlock/architecture analyzer
-* :mod:`repro.perf`     — fast-engine equivalence + perf-regression harness
+* :mod:`repro.perf`     — record diffs with host times stripped
 * :mod:`repro.bench`    — workloads and the experiment harness
 
 Quickstart::

@@ -93,14 +93,11 @@ class PoolMachine:
     """One simulated machine of the pool and the jobs resident on it."""
 
     def __init__(self, index: int, config: MachineConfig, journal: bool,
-                 tracer=None, plans: Optional[Dict[tuple, Any]] = None) -> None:
+                 tracer=None) -> None:
         self.index = index
         self.config = config
         self.journal = journal
         self.tracer = tracer
-        #: pool-shared compiled-plan cache (registry type tuple -> plan);
-        #: None outside a pool, in which case each program compiles its own
-        self.plans = plans
         self.jobs: List[JobHandle] = []
         #: global service cycle at which this program's local clock was 0
         self.offset = 0
@@ -156,25 +153,11 @@ class PoolMachine:
         # spawn so unrelated root tasks stay unparented)
         runtime.obs_root_parent = handle.span
         try:
-            self._ensure_plan()
             handle.tid = self.program.start(root_name)
         finally:
             runtime.obs_root_parent = None
         self.jobs.append(handle)
         self.dirty = True
-
-    def _ensure_plan(self) -> None:
-        """On the compiled engine, install the pool's cached plan for the
-        current registry state (compiling and caching on first sight), so
-        a model's whole job stream shares one submit-time compilation."""
-        program = self.program
-        if program.machine.engine_kind != "compiled" or self.plans is None:
-            return
-        key = tuple(program.runtime.registry.types())
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = self.plans[key] = program.compile_plan()
-        program.install_plan(plan)
 
     def run_slice(self, global_until: Optional[int] = None) -> int:
         """Advance this machine's event loop; returns local cycles used.
@@ -291,7 +274,6 @@ class ServicePool:
         machine_slots: Optional[int] = 1,
         checkpointing: bool = True,
         persistent: bool = False,
-        plan_cache: Optional[Dict[tuple, Any]] = None,
     ) -> None:
         if n_machines < 1:
             raise AppVMError("a pool needs at least one machine")
@@ -320,16 +302,9 @@ class ServicePool:
         # clock domains coincide (one persistent machine, global clock =
         # machine clock); multi-machine pools trace at the sched.* level
         machine_tracer = tracer if (persistent and n_machines == 1) else None
-        #: compiled plans per registry type tuple, shared by every pool
-        #: machine.  Pass *plan_cache* to share one cache across several
-        #: pools/services in a process — a campaign worker runs one
-        #: point per fresh service, and points with the same registry
-        #: shape then reuse one submit-time compilation.
-        self._plan_cache: Dict[tuple, Any] = \
-            plan_cache if plan_cache is not None else {}
         self.machines = [
             PoolMachine(i, self.config, journal=checkpointing,
-                        tracer=machine_tracer, plans=self._plan_cache)
+                        tracer=machine_tracer)
             for i in range(n_machines)
         ]
         self.tenants = TenantTable()

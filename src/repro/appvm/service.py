@@ -59,15 +59,12 @@ class MachineService:
         #: checkpointing turns on runtime journaling so the service's
         #: program can be snapshotted (see :meth:`checkpoint`)
         self.checkpointing = checkpointing
-        #: plan_cache shares compiled plans across services in one
-        #: process (see :class:`ServicePool`); campaign workers use it
-        #: so each point's fresh service skips recompilation when the
-        #: registry shape repeats
+        # plan_cache is accepted and ignored: it held compiled plans,
+        # and there is no compiler any more (perfbench still passes it)
         self.pool = ServicePool(
             n_machines=1, config=self.config, tracer=tracer,
             quantum=None, machine_slots=None,
             checkpointing=checkpointing, persistent=True,
-            plan_cache=plan_cache,
         )
 
     @property

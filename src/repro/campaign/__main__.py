@@ -73,8 +73,6 @@ def main(argv=None) -> int:
     ap.add_argument("--points-file", type=pathlib.Path,
                     help="JSON file with an explicit point list")
     ap.add_argument("--name", default="campaign")
-    ap.add_argument("--engine", default="compiled",
-                    choices=("default", "reference", "fast", "compiled"))
     ap.add_argument("--campaign-workers", type=int, default=0, metavar="N",
                     help="worker processes (0 = serial in-process)")
     ap.add_argument("--waves", type=int, default=1)
@@ -103,7 +101,6 @@ def main(argv=None) -> int:
         campaign = Campaign(
             space,
             name=args.name,
-            engine=args.engine,
             workers=args.campaign_workers,
             waves=args.waves,
             refine_per_wave=args.refine,

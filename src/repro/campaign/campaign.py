@@ -28,11 +28,12 @@ regardless of completion order.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import CampaignError
-from ..hardware import MachineConfig
+from ..hardware import MachineConfig, resolve_engine
 from .refine import refine_candidates
 from .report import CampaignReport
 from .runner import (
@@ -44,8 +45,8 @@ from .runner import (
 )
 from .space import ParamSpace, Point, point_key
 
-#: fork shares the parent's loaded numpy/scipy pages and any
-#: forced-engine override; fall back to the platform default elsewhere
+#: fork shares the parent's loaded numpy/scipy pages; fall back to the
+#: platform default elsewhere
 _PREFERRED_START = "fork"
 
 
@@ -66,7 +67,7 @@ class Campaign:
         *,
         name: str = "campaign",
         base_config: Union[MachineConfig, Dict[str, Any], None] = None,
-        engine: str = "compiled",
+        engine: str = "default",
         workers: int = 0,
         waves: int = 1,
         refine_per_wave: int = 0,
@@ -86,6 +87,7 @@ class Campaign:
         if restart_events is not None and restart_events < 1:
             raise CampaignError(
                 f"restart_events must be >= 1 when set, got {restart_events}")
+        resolve_engine(engine)  # a bad name fails before any point runs
         if isinstance(base_config, MachineConfig):
             fields = {
                 k: getattr(base_config, k)
@@ -116,8 +118,6 @@ class Campaign:
         self.restart_blobs: Dict[Tuple, bytes] = {}
         #: host wall-clock of the last run() (volatile; never reported)
         self.host_seconds = 0.0
-        #: in-process compiled-plan cache for the serial path
-        self._plans: Dict = {}
         if runner is None:
             validate_axes(space)
             for axis in self.defaults:
@@ -145,12 +145,15 @@ class Campaign:
 
     def _run_serial(self, jobs: List[Tuple[int, Point, RunOptions]]):
         out = []
-        for index, point, options in jobs:
+        for job in jobs:
+            # run on the pickled copy a pool worker would get: checkpoint
+            # bytes depend on which equal strings share one object (the
+            # pickle memo), so both paths must see equally fresh inputs
+            index, point, options = pickle.loads(pickle.dumps(job))
             if self.runner is not None:
                 payload, blob = dict(self.runner(point, options)), None
             else:
-                payload, blob = run_point(point, options,
-                                          plan_cache=self._plans)
+                payload, blob = run_point(point, options)
             out.append((index, payload, blob))
         return out
 

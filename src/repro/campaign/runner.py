@@ -11,9 +11,7 @@ and (when tracing) the obs span aggregate.
 
 Everything here is picklable and importable at module level because
 points fan out across OS processes: :func:`pool_worker` is the
-``multiprocessing`` entry point, and :data:`_WORKER_PLANS` is the
-per-process compiled-plan cache — every point a worker runs with the
-same registry shape reuses one submit-time compilation.
+``multiprocessing`` entry point.
 
 Warm restarts: with ``restart_events`` set, the run checkpoints after
 that many engine events into a ``fem2-ckpt/1`` blob and *resumes from
@@ -63,9 +61,8 @@ class RunOptions:
 
     #: MachineConfig fields the point does not override (engine excluded)
     base_config: Dict[str, Any] = field(default_factory=dict)
-    #: simulation engine every point runs on ("compiled" by default —
-    #: each campaign point is exactly the cheap-replay case PR 8 built)
-    engine: str = "compiled"
+    #: MachineConfig engine name every point runs on
+    engine: str = "default"
     #: mesh/solver defaults overriding :data:`DEFAULTS`
     defaults: Dict[str, Any] = field(default_factory=dict)
     #: collect obs span aggregates (cold runs only)
@@ -140,6 +137,8 @@ def run_point(point: Point, options: RunOptions,
     leak into it, which is what makes campaign reports byte-identical
     across worker counts.  ``restart_blob`` is the mid-run
     ``fem2-ckpt/1`` blob when warm-restart plumbing was exercised.
+    *plan_cache* is accepted and ignored: it held compiled plans, and
+    there is no compiler any more (perfbench still passes it).
     """
     journal = options.journal or options.restart_events is not None
     tracer = Tracer() if options.trace and options.restart_events is None \
@@ -150,8 +149,7 @@ def run_point(point: Point, options: RunOptions,
     spec = JobSpec(user="campaign", model=model, load_set="case",
                    workers=int(p["workers"]), tol=float(p["tol"]))
 
-    service = MachineService(config, tracer=tracer, checkpointing=journal,
-                             plan_cache=plan_cache)
+    service = MachineService(config, tracer=tracer, checkpointing=journal)
     handle = service.submit(spec)
     restart = None
     blob = None
@@ -210,15 +208,10 @@ def run_point(point: Point, options: RunOptions,
     return payload, blob
 
 
-#: per-process compiled-plan cache shared by every point this worker
-#: runs (fork or spawn: each OS process grows its own)
-_WORKER_PLANS: Dict = {}
-
-
 def pool_worker(job: Tuple[int, Point, RunOptions]
                 ) -> Tuple[int, Dict[str, Any], Optional[bytes]]:
     """``multiprocessing`` entry point: one point, one simulated
     machine, in whatever OS process the pool scheduled it on."""
     index, point, options = job
-    payload, blob = run_point(point, options, plan_cache=_WORKER_PLANS)
+    payload, blob = run_point(point, options)
     return index, payload, blob

@@ -13,87 +13,26 @@ are exactly reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
-import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 
-#: recognised engine kinds; "default" resolves through
-#: :func:`resolve_engine` (module override, then environment, then fast)
-ENGINES = ("default", "reference", "fast", "compiled")
-
-#: the kinds a config/env/override may name directly (everything but
-#: the "default" placeholder)
-CONCRETE_ENGINES = ("reference", "fast", "compiled")
-
-#: what ``engine="default"`` means when nothing overrides it.  The fast
-#: calendar-queue engine (:mod:`repro.hardware.calqueue`) is the
-#: production path; the reference heapq engine below stays the oracle,
-#: and the compiled engine (:mod:`repro.hardware.compiled`) is the
-#: opt-in burst-fusing specialization backend.
-DEFAULT_ENGINE = "fast"
-
-#: process-wide override installed by :func:`forced_engine`; None means
-#: "no override".  The equivalence harness (repro.perf) uses this to run
-#: unmodified benchmarks under any engine.
-_FORCED: Optional[str] = None
+#: the engine names a :class:`MachineConfig` may give; both mean the
+#: heapq :class:`EventEngine` below, the only engine (DESIGN.md §11)
+ENGINES = ("default", "reference")
 
 
 def resolve_engine(kind: str) -> str:
-    """Resolve a :class:`MachineConfig` engine field to a concrete kind.
-
-    Override order, strongest first (documented in DESIGN.md §13):
-
-    1. a :func:`forced_engine` override — wins over everything,
-       including explicit configs (that is the point of the harness);
-    2. an explicit ``"reference"``/``"fast"``/``"compiled"`` config;
-    3. the ``FEM2_ENGINE`` environment variable;
-    4. :data:`DEFAULT_ENGINE`.
-
-    An unknown ``FEM2_ENGINE`` value raises :class:`ConfigurationError`
-    rather than silently falling back — a typo like ``FEM2_ENGINE=ref``
-    must not masquerade as a default-engine run.
-    """
+    """The engine a :class:`MachineConfig` engine field names: always
+    ``"reference"``.  Any other name, including the removed ``"fast"``
+    and ``"compiled"``, raises :class:`ConfigurationError`."""
     if kind not in ENGINES:
         raise ConfigurationError(
-            f"unknown engine {kind!r}; one of {ENGINES}"
+            f"unknown engine {kind!r}: the only event engine is "
+            f"'reference' (engine='default' or 'reference')"
         )
-    if _FORCED is not None:
-        return _FORCED
-    if kind != "default":
-        return kind
-    env = os.environ.get("FEM2_ENGINE", "").strip().lower()
-    if not env:
-        return DEFAULT_ENGINE
-    if env not in CONCRETE_ENGINES:
-        raise ConfigurationError(
-            f"unknown FEM2_ENGINE value {env!r}; one of {CONCRETE_ENGINES}"
-        )
-    return env
-
-
-@contextlib.contextmanager
-def forced_engine(kind: str) -> Iterator[None]:
-    """Force every machine built inside the block onto one engine.
-
-    The A/B half of the equivalence harness: the same workload code,
-    run under ``forced_engine("reference")``, ``forced_engine("fast")``,
-    and ``forced_engine("compiled")``, must produce identical final
-    metrics, clocks, and checkpoint blobs.
-    """
-    if kind not in CONCRETE_ENGINES:
-        raise ConfigurationError(
-            f"forced_engine needs one of {CONCRETE_ENGINES}, got {kind!r}"
-        )
-    global _FORCED
-    prev = _FORCED
-    _FORCED = kind
-    try:
-        yield
-    finally:
-        _FORCED = prev
+    return "reference"
 
 
 class Event:
@@ -123,11 +62,8 @@ class Event:
 class EventEngine:
     """A priority-queue discrete-event simulator clocked in cycles.
 
-    This is the **reference** engine: one global heap, one event per
-    pop, no batching — simple enough to audit by eye.  Production runs
-    use :class:`repro.hardware.calqueue.FastEventEngine`, which must
-    stay observationally identical to this one (same dispatch order,
-    same clock, same snapshot form); ``repro.perf`` enforces that.
+    The reference engine, and the only one: one global heap, one event
+    per pop, no batching — simple enough to audit by eye.
     """
 
     def __init__(self) -> None:

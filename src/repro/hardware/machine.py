@@ -17,10 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, FaultError, RoutingError
-from .calqueue import FastEventEngine
 from .cluster import Cluster
-from .compiled import CompiledEventEngine
-from .events import ENGINES, EventEngine, resolve_engine
+from .events import EventEngine, resolve_engine
 from .metrics import MetricsRegistry
 from .network import TOPOLOGIES, Network
 
@@ -44,12 +42,14 @@ class MachineConfig:
     dispatch_cycles: int = 5        # kernel cost to assign a PE
     flop_cycles: int = 1            # cycles per floating-point operation
     word_touch_cycles: int = 1      # cycles per word moved within a cluster
-    #: simulation engine: "reference" (heapq oracle), "fast" (calendar
-    #: queue), "compiled" (calendar queue + burst fusion driven by the
-    #: repro.compile submit-time specializer), or "default" (FEM2_ENGINE
-    #: env var, then fast).  All engines are observationally identical;
-    #: see repro.perf and DESIGN.md §13.
+    #: simulation engine: "default" or "reference", both the heapq
+    #: EventEngine — the only engine (DESIGN.md §11)
     engine: str = "default"
+
+    def __post_init__(self) -> None:
+        # a bad engine name fails when the config is built, so a config
+        # (or checkpoint) naming a removed engine never gets further
+        resolve_engine(self.engine)
 
     def validate(self) -> None:
         if self.n_clusters < 1:
@@ -65,10 +65,6 @@ class MachineConfig:
             raise ConfigurationError("cost parameters must be non-negative")
         if self.bandwidth_words_per_cycle <= 0:
             raise ConfigurationError("bandwidth must be positive")
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; one of {ENGINES}"
-            )
 
     @property
     def total_workers(self) -> int:
@@ -97,16 +93,7 @@ class Machine:
     def __init__(self, config: MachineConfig, tracer=None) -> None:
         config.validate()
         self.config = config
-        kind = resolve_engine(config.engine)
-        #: the concrete engine kind actually running (after override
-        #: resolution) — the langvm program keys plan compilation on it
-        self.engine_kind = kind
-        if kind == "fast":
-            self.engine = FastEventEngine()
-        elif kind == "compiled":
-            self.engine = CompiledEventEngine()
-        else:
-            self.engine = EventEngine()
+        self.engine = EventEngine()
         self.metrics = MetricsRegistry()
         #: span tracer shared by every layer running on this machine
         #: (duck-typed: a repro.obs.Tracer, or None for zero-cost off)

@@ -157,10 +157,6 @@ class Fem2Program:
         #: journal=True records every coroutine input, making the whole
         #: program snapshottable (see :mod:`repro.ckpt`)
         self.runtime.journaling = journal
-        #: the installed :class:`repro.compile.CompiledPlan`, when the
-        #: machine resolved to the compiled engine (see :meth:`start`)
-        self._plan = None
-        self._executor = None
 
     # -- program definition ---------------------------------------------------------
 
@@ -171,51 +167,11 @@ class Fem2Program:
     def define(self, name: str, body: Callable, **sizes) -> None:
         self.runtime.define_task(name, body, **sizes)
 
-    # -- submit-time compilation -----------------------------------------------------
-
-    @property
-    def plan(self):
-        """The compiled plan in effect, or None (interpreter engines)."""
-        return self._plan
-
-    def compile_plan(self):
-        """Specialize the registered task graph (pure analysis; see
-        :func:`repro.compile.compile_program`).  Works under any engine
-        — only :meth:`install_plan` needs the compiled one."""
-        from ..compile import compile_program
-
-        return compile_program(self)
-
-    def install_plan(self, plan) -> None:
-        """Install *plan*'s fast-path executor on this program's runtime
-        (requires the machine to be on the compiled engine)."""
-        from ..compile import CompiledExecutor
-
-        if self._executor is not None:
-            self._executor.uninstall()
-        self._executor = CompiledExecutor(self.runtime, plan).install()
-        self._plan = plan
-
-    def ensure_plan(self):
-        """Compile-and-install on the compiled engine, reusing the
-        current plan while the registry's type tuple is unchanged.
-        Called by :meth:`start` so submission is the compile point; a
-        no-op (returns None) under the reference/fast engines."""
-        if self.machine.engine_kind != "compiled":
-            return None
-        source = tuple(self.runtime.registry.types())
-        if self._plan is None or self._plan.source != source:
-            self.install_plan(self.compile_plan())
-        return self._plan
-
     # -- execution ----------------------------------------------------------------------
 
     def start(self, task_type: str, *args: Any, cluster: Optional[int] = None,
               retain_data: bool = False) -> int:
-        """Spawn a root task without running the clock.  On the compiled
-        engine this is the specialization point: the task graph is
-        compiled (or the cached plan reused) before the spawn."""
-        self.ensure_plan()
+        """Spawn a root task without running the clock."""
         return self.runtime.spawn(
             task_type, *args, cluster=cluster, retain_data=retain_data
         )

@@ -44,20 +44,16 @@ from .facts import ProgramFacts, lint_tasks, program_facts, registry_tasks
 from .findings import CODES, SCHEMA, Finding, LintReport
 from .flow import (
     FLOW_SCHEMA,
-    Blocker,
     FlowSummary,
     SoundnessResult,
     TaskGraph,
     build_graph,
-    check_compilable,
     check_d2,
     check_soundness,
     check_w3,
     check_x1,
-    compilable_split,
     observed_edges,
     summarize,
-    task_blockers,
 )
 from .layering import ALLOWED, check_layering, layering_violations
 from .program import check_d1, check_o1, check_tasks, check_w1, check_w2
@@ -88,7 +84,6 @@ __all__ = [
     "COST_SCHEMA",
     "FLOW_SCHEMA",
     "SCHEMA",
-    "Blocker",
     "CalibrationResult",
     "CostReport",
     "Finding",
@@ -105,7 +100,6 @@ __all__ = [
     "build_cost_report",
     "build_graph",
     "calibrate",
-    "check_compilable",
     "check_cost",
     "check_d1",
     "check_d2",
@@ -123,7 +117,6 @@ __all__ = [
     "check_w3",
     "check_x1",
     "collect_tasks",
-    "compilable_split",
     "cost_report",
     "flow_summary",
     "layering_violations",
@@ -137,5 +130,4 @@ __all__ = [
     "program_facts",
     "registry_tasks",
     "summarize",
-    "task_blockers",
 ]

@@ -3,7 +3,7 @@
 Every consumer of a built program's static facts — the
 :class:`~repro.appvm.JobSpec` lint gate, the
 :class:`~repro.appvm.ServicePool` cost check, :func:`lint_program`,
-:func:`cost_report`, the compile planner and cost calibration — starts
+:func:`cost_report` and cost calibration — starts
 from one :class:`~repro.lint.astutil.TaskInfo` per registered task body.
 Recovering one costs ``inspect.getsource`` + ``ast.parse`` + a task walk,
 and a job stream registers the same few bodies under fresh, job-unique

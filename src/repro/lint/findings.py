@@ -36,8 +36,6 @@ CODES: Dict[str, str] = {
     "C1": "statically unbounded cost: unresolvable replication in an "
           "unresolvable loop",
     "C2": "predicted window fan-in exceeds its declared capacity",
-    "P1": "program not fully compilable: a construct forces this task "
-          "back onto the interpreter under the compiled engine",
 }
 
 SEVERITIES = ("error", "warning")

@@ -20,19 +20,12 @@ per-task syntactic scans; this subpackage gives them a real middle end:
   message routes, per-window fan-in/out, fixed-length burst chains.
 * :mod:`~repro.lint.flow.soundness` — runs a program under the
   :mod:`repro.obs` tracer and asserts every observed message edge was
-  statically predicted (the validated front half of the compiled
-  dispatch planned in ROADMAP item 1).
+  statically predicted.
 """
 
 from __future__ import annotations
 
 from .checks import check_d2, check_flow, check_w2_flow, check_w3, check_x1
-from .compilable import (
-    Blocker,
-    check_compilable,
-    compilable_split,
-    task_blockers,
-)
 from .dataflow import TaskSummary, interpret_task, summarize_tasks
 from .ir import Edge, Node, TaskGraph, build_graph, task_index
 from .soundness import SoundnessResult, check_soundness, observed_edges
@@ -40,7 +33,6 @@ from .summary import FLOW_SCHEMA, FlowSummary, summarize
 
 __all__ = [
     "FLOW_SCHEMA",
-    "Blocker",
     "Edge",
     "FlowSummary",
     "Node",
@@ -48,11 +40,8 @@ __all__ = [
     "TaskGraph",
     "TaskSummary",
     "build_graph",
-    "check_compilable",
     "check_d2",
     "check_flow",
-    "compilable_split",
-    "task_blockers",
     "check_soundness",
     "check_w2_flow",
     "check_w3",

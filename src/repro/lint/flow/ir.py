@@ -3,9 +3,8 @@
 A cheap, fully materialized graph over one resolved task set: task
 nodes, initiate-site nodes, and window nodes, joined by spawn / wait /
 read / write / accumulate / subcall edges.  The graph is the common
-substrate for the X1 reachability check, the ``fem2-flow/1`` summary,
-and — per ROADMAP item 1 — the input a compiled dispatcher would
-specialize.
+substrate for the X1 reachability check and the ``fem2-flow/1``
+summary.
 
 Window identity is *scoped by task*: ``win:<task>:<name>`` is the local
 name a task knows a window by.  Cross-task identity flows through spawn

@@ -1,7 +1,7 @@
 """Trace-validated route extraction: observed ⊆ predicted.
 
 The contract that makes the :class:`~repro.lint.flow.summary.FlowSummary`
-usable as a compiler input is *soundness*: every message edge the
+trustworthy is *soundness*: every message edge the
 machine actually produces at run time must have been statically
 predicted.  This module checks it — run a program under the
 :mod:`repro.obs` tracer, then compare:

@@ -1,8 +1,8 @@
 """The ``fem2-flow/1`` record: what the machine will do, statically.
 
 A :class:`FlowSummary` is the flow engine's exported artifact — the
-facts a compiled dispatcher (ROADMAP item 1) would specialize against,
-serialized in the same schema-versioned style as ``fem2-bench/1`` and
+program's static message, window and burst structure, serialized in
+the same schema-versioned style as ``fem2-bench/1`` and
 ``fem2-lint/1``:
 
 * **routes** — the static spawn graph: which task types initiate which
@@ -13,8 +13,7 @@ serialized in the same schema-versioned style as ``fem2-bench/1`` and
 * **windows** — per (task, local window name): which task types read /
   plain-write / accumulate through it, and the resulting fan-in/out.
 * **bursts** — fixed-length chains of straight-line effects (computes
-  and window ops with no intervening control flow), the fusion unit a
-  compiled engine would collapse into one event.
+  and window ops with no intervening control flow).
 
 Every field is plain data, canonically sorted; ``to_record`` /
 ``from_record`` round-trip exactly.

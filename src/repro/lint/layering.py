@@ -28,22 +28,20 @@ ALLOWED: Dict[str, Set[str]] = {
     "lint": {"obs"},
     "hardware": {"obs"},
     "sysvm": {"hardware", "obs"},
-    "langvm": {"sysvm", "hardware", "obs", "compile"},
+    "langvm": {"sysvm", "hardware", "obs"},
     "fem": {"langvm", "sysvm", "hardware", "obs"},
     "appvm": {"fem", "langvm", "sysvm", "hardware", "hgraph", "obs", "lint",
-              "ckpt", "compile"},
-    # compile is the submit-time specializer: it reads lint's flow facts
-    # and installs a fast-path executor over sysvm/hardware, so it sits
-    # between lint and the language layer (langvm hooks it at start())
-    "compile": {"lint", "sysvm", "hardware", "obs"},
+              "ckpt"},
+    # compile is the stub left by the removed submit-time compiler: it
+    # imports nothing, and is kept so old imports fail with a clear error
+    "compile": set(),
     "core": {"hgraph"},
     "ckpt": set(),
     "analysis": {"fem", "hardware", "sysvm", "obs"},
     "bench": {"appvm", "fem", "langvm", "hardware", "sysvm", "obs"},
-    # perf is the engine-equivalence harness: it drives whole programs
-    # under both engines and compares checkpoint blobs, so it sits above
-    # the stack it verifies (but below appvm/bench, which may use it)
-    "perf": {"fem", "langvm", "sysvm", "hardware", "obs", "ckpt"},
+    # perf is the record-diff helper (diff_values, strip_volatile) that
+    # campaign and scheduler checks use; it imports nothing
+    "perf": set(),
     # campaign is the design-space sweep layer: it fans whole services
     # out across OS processes, so it sits at the very top — above the
     # application VM and the bench harness it aggregates records from

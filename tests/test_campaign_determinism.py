@@ -4,8 +4,7 @@ A campaign result must be byte-identical regardless of host worker
 count, wave ordering, or refinement interleaving; a warm-restarted
 refined point must match a cold run bit-for-bit via its ``fem2-ckpt/1``
 blob.  These tests state both halves over canonical report bytes and
-checkpoint fingerprints, reusing the ``repro.perf`` equivalence
-machinery (the same harness that locks the engines together).
+checkpoint fingerprints, diffed with ``repro.perf``'s record diff.
 """
 
 import json
@@ -14,14 +13,14 @@ import pytest
 
 from repro.campaign import Campaign, ParamSpace, RunOptions, run_point
 from repro.ckpt import fingerprint
-from repro.hardware.events import CONCRETE_ENGINES
+from repro.errors import ConfigurationError
 from repro.perf import diff_values, strip_volatile
 
 SPACE_AXES = {"nx": [2, 4], "workers": [1, 2]}
 
 
 def small_campaign(workers, **overrides):
-    kwargs = dict(name="det", engine="compiled", workers=workers,
+    kwargs = dict(name="det", workers=workers,
                   waves=2, refine_per_wave=1, restart_events=40)
     kwargs.update(overrides)
     return Campaign(ParamSpace(SPACE_AXES), **kwargs)
@@ -143,19 +142,26 @@ class TestWarmRestart:
 
 
 # ---------------------------------------------------------------------------
-# engine independence (simulated observables only)
+# engine names
 
 
-class TestEngineIndependence:
-    @pytest.mark.parametrize("engine", CONCRETE_ENGINES)
-    def test_metrics_agree_with_compiled(self, engine):
-        """A campaign's simulated observables are engine-invariant —
-        the campaign layer inherits the perf layer's equivalence
-        guarantee (spans excluded: tracing granularity may differ)."""
-        space = ParamSpace({"nx": [2, 3]})
-        baseline = Campaign(space, engine="compiled", trace=False).run()
-        other = Campaign(ParamSpace({"nx": [2, 3]}), engine=engine,
-                         trace=False).run()
-        for a, b in zip(baseline.points, other.points):
+class TestEngineNames:
+    def test_reference_and_default_agree(self):
+        """Both engine names run the one heapq engine: every point's
+        simulated observables agree, warm-restarted points included, and
+        the report records the name it was given."""
+        default, reference = (
+            small_campaign(workers=0, engine=engine, trace=False).run()
+            for engine in ("default", "reference"))
+        assert (default.engine, reference.engine) == ("default", "reference")
+        for a, b in zip(default.points, reference.points):
             assert a["metrics"] == b["metrics"]
             assert a["result"] == b["result"]
+        assert any(p["restart"] for p in default.points)
+
+    @pytest.mark.parametrize("engine", ["fast", "compiled"])
+    def test_removed_engine_names_rejected(self, engine):
+        """The removed engines fail when the campaign is declared, before
+        any point runs, and the error names the remaining engine."""
+        with pytest.raises(ConfigurationError, match="'reference'"):
+            Campaign(ParamSpace({"nx": [2]}), engine=engine)

@@ -20,9 +20,9 @@ from repro.ckpt import (
     restore_program,
     to_bytes,
 )
-from repro.errors import AppVMError, CkptError
+from repro.errors import AppVMError, CkptError, ConfigurationError
 from repro.hardware import FaultInjector, Machine, MachineConfig
-from repro.langvm import Fem2Program, forall
+from repro.langvm import Fem2Program, forall, forall_windows
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,79 @@ def farm_factory(n=12, cycles=10_000, n_clusters=2, pes=4):
     return build
 
 
+def _small(**overrides):
+    base = dict(n_clusters=2, pes_per_cluster=3,
+                memory_words_per_cluster=500_000)
+    base.update(overrides)
+    return Fem2Program(MachineConfig(**base), journal=True)
+
+
+def message_storm():
+    """Waves of short tasks: many INITIATE/TERMINATE messages and
+    same-cycle completions (zero-cycle bursts)."""
+    prog = _small(n_clusters=3)
+
+    @prog.task()
+    def spark(ctx, index):
+        yield ctx.compute(flops=index % 3)
+        return index * 2
+
+    @prog.task()
+    def main(ctx):
+        total = 0
+        for _wave in range(3):
+            results = yield ctx.wait((yield ctx.initiate("spark", count=6)))
+            total += sum(results.values())
+        return total
+
+    return prog
+
+
+def window_pipeline():
+    """Remote window reads and writes with non-trivial payloads."""
+    prog = _small()
+
+    @prog.task()
+    def stage(ctx, win, band):
+        data = yield ctx.read(win)
+        yield ctx.compute(flops=int(data.size) * 4)
+        yield ctx.write(win, data * 0.5 + band)
+
+    @prog.task()
+    def main(ctx):
+        win = ctx.window((yield ctx.create(np.linspace(0.0, 1.0, 64))))
+        for _round in range(2):
+            yield from forall_windows(ctx, "stage", win, 4)
+        return float((yield ctx.read(win)).sum())
+
+    return prog
+
+
+def fault_recovery():
+    """A restart-mode PE failure mid-run: the lost burst's completion
+    event is cancelled and the task restarts elsewhere."""
+    prog = _small(pes_per_cluster=4)
+
+    @prog.task()
+    def grind(ctx, index):
+        yield ctx.compute(flops=400 + 40 * index)
+        return index
+
+    @prog.task()
+    def main(ctx):
+        results = yield ctx.wait((yield ctx.initiate("grind", count=5)))
+        return sorted(results.values())
+
+    injector = FaultInjector(prog.machine, runtime=prog.runtime,
+                             recovery="restart")
+    injector.schedule_pe_failure(at=120, cluster_id=0, pe_index=1)
+    return prog
+
+
+FINISHED_PROGRAMS = {f.__name__: f for f in
+                     (message_storm, window_pipeline, fault_recovery)}
+
+
 class TestProgramSnapshot:
     def test_snapshot_requires_journaling(self):
         prog = Fem2Program(MachineConfig.small())
@@ -131,6 +204,33 @@ class TestProgramSnapshot:
         assert fresh.metrics.get("task.initiated") == \
             prog.metrics.get("task.initiated")
         assert results == [i * i for i in range(4)]
+
+    @pytest.mark.parametrize("name", sorted(FINISHED_PROGRAMS))
+    def test_final_state_round_trips(self, name):
+        """A finished program's blob is reproducible byte for byte, and
+        restores into a fresh build with the same clock, metrics and
+        content — message storms, window traffic and a cancelled burst
+        (restart-mode fault) included."""
+        build = FINISHED_PROGRAMS[name]
+        prog = build()
+        result = prog.run("main")
+        state = prog.snapshot()
+        blob = to_bytes(state)
+        again = build()
+        assert again.run("main") == result
+        assert to_bytes(again.snapshot()) == blob
+        assert prog.metrics.flat()
+        if name == "fault_recovery":
+            assert prog.metrics.get("fault.pe_failures") == 1
+
+        fresh = build()
+        fresh.restore(from_bytes(blob))
+        assert fresh.now == prog.now
+        assert fresh.machine.engine.events_processed \
+            == prog.machine.engine.events_processed
+        assert dict(fresh.metrics.flat()) == dict(prog.metrics.flat())
+        assert content_fingerprint(fresh.snapshot()) \
+            == content_fingerprint(state)
 
     def test_checkpointed_run_is_clock_neutral(self):
         build = farm_factory()
@@ -320,6 +420,20 @@ class TestServiceCheckpoint:
         assert np.array_equal(r_bob.result().u, u_bob)
         assert resumed.program.now == cycles
         assert resumed.completed_batches == 1
+
+    @pytest.mark.parametrize("engine", ["fast", "compiled"])
+    def test_resume_rejects_removed_engine(self, engine):
+        """A blob whose config names a removed engine fails loudly on
+        resume instead of running on an engine it did not name."""
+        from repro.appvm import JobSpec, MachineService
+        service = self.make_service()
+        service.submit(JobSpec(user="u", model=make_model("m"),
+                               load_set="case", workers=2))
+        state = from_bytes(service.checkpoint())
+        assert state["config"]["engine"] == "default"
+        state["config"]["engine"] = engine
+        with pytest.raises(ConfigurationError, match="'reference'"):
+            MachineService.resume(to_bytes(state))
 
     def test_detached_handle_cannot_checkpoint(self):
         from repro.appvm import JobHandle, JobSpec

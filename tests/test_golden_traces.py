@@ -7,10 +7,6 @@ final clock, events processed, every flat metric, and the entire
 ordering, cycle accounting, metric naming, or tracing shows up as a
 one-line diff here before it can silently shift published benchmarks.
 
-All three engines — reference, fast, compiled — are asserted against
-the *same* fixture: the golden bytes are also an engine-equivalence
-statement, fused-burst fast path included.
-
 To regenerate after an intentional semantic change::
 
     FEM2_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_traces.py
@@ -25,7 +21,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.hardware.events import forced_engine
 from repro.hardware.machine import MachineConfig
 from repro.langvm.program import Fem2Program
 from repro.obs import Tracer, to_record
@@ -114,11 +109,9 @@ def golden_bytes(build):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-@pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
-def test_golden_trace(name, engine):
+def test_golden_trace(name):
     path = FIXTURES / f"golden_{name}.json"
-    with forced_engine(engine):
-        got = golden_bytes(GOLDEN_PROGRAMS[name])
+    got = golden_bytes(GOLDEN_PROGRAMS[name])
     if REGEN:
         FIXTURES.mkdir(exist_ok=True)
         path.write_text(got)
@@ -135,7 +128,7 @@ def test_golden_trace(name, engine):
             if got_doc.get(k) != want_doc.get(k)
         ]
         raise AssertionError(
-            f"golden trace {name!r} drifted under the {engine} engine "
+            f"golden trace {name!r} drifted "
             f"(changed sections: {diffs}); if intentional, regenerate with "
             f"FEM2_REGEN_GOLDEN=1 and review the fixture diff"
         )

@@ -129,3 +129,26 @@ def test_determinism_across_runs():
         return log
 
     assert build() == build()
+
+
+def test_halt_stops_after_current_event(eng):
+    fired = []
+    eng.schedule(1, lambda: (fired.append("a"), eng.halt()))
+    eng.schedule(1, fired.append, "b")  # same cycle, queued behind the halt
+    eng.schedule(5, fired.append, "c")
+    assert eng.run() == 1
+    assert fired == ["a"] and eng.now == 1 and eng.pending() == 2
+    eng.resume_halted()
+    eng.run()
+    assert fired == ["a", "b", "c"] and eng.now == 5
+
+
+def test_snapshot_form_and_restore(eng):
+    eng.schedule(4, lambda: None)
+    eng.run()
+    snap = eng.snapshot()
+    assert snap == {"now": 4, "events_processed": 1, "halted": False}
+    eng.schedule(10, lambda: None)  # dropped by restore
+    eng.restore({"now": 7, "events_processed": 2, "halted": False})
+    assert (eng.now, eng.events_processed, eng.pending()) == (7, 2, 0)
+    assert eng.idle()

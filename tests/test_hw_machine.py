@@ -36,6 +36,19 @@ class TestMachineConfig:
         with pytest.raises(ConfigurationError):
             MachineConfig(flop_cycles=-1).validate()
 
+    def test_engine_names(self):
+        # both names build the one heapq engine
+        for name in ("default", "reference"):
+            assert type(Machine(MachineConfig(engine=name)).engine) \
+                is EventEngine
+
+    @pytest.mark.parametrize("name", ["fast", "compiled"])
+    def test_removed_engine_names_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="'reference'"):
+            MachineConfig(engine=name)
+        with pytest.raises(ConfigurationError, match="'reference'"):
+            MachineConfig().scaled(engine=name)
+
     def test_total_workers(self):
         cfg = MachineConfig(n_clusters=4, pes_per_cluster=5)
         assert cfg.total_workers == 16

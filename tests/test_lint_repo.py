@@ -41,37 +41,6 @@ def test_cache_reuses_unchanged_files():
         == [f.render() for f in again.sorted_findings()]
 
 
-def test_calqueue_snapshot_exemptions_are_tight():
-    """S1 audit for the calendar-queue engine: its ``_snapshot_exempt``
-    tuple must name only real, reconstructible fields — every exempt
-    field is rebuilt empty by ``restore()``, everything else is covered
-    by the snapshot/restore pair, and no slot is exempted 'just in
-    case' (a stale exemption would let real state silently escape the
-    checkpoint contract)."""
-    import ast
-
-    from repro.hardware.calqueue import FastEventEngine
-    from repro.lint.snapshots import check_snapshots
-
-    path = ROOT / "src" / "repro" / "hardware" / "calqueue.py"
-    findings = check_snapshots(ast.parse(path.read_text()), str(path))
-    assert not findings, [f.message for f in findings]
-
-    exempt = set(FastEventEngine._snapshot_exempt)
-    slots = set(FastEventEngine.__slots__)
-    assert exempt <= slots, "exemption names a field that does not exist"
-    # exactly the rebuilt-not-serialized fields: the tracer back-ref and
-    # the queue internals (each layer re-issues its events on restore)
-    assert exempt == {"tracer", "_buckets", "_times"}
-
-    eng = FastEventEngine()
-    eng.schedule(3, lambda: None)
-    eng.restore({"now": 5, "events_processed": 1, "halted": False})
-    assert eng.pending() == 0 and eng.idle()  # exempt queue state rebuilt
-    assert eng.snapshot() == {"now": 5, "events_processed": 1,
-                              "halted": False}
-
-
 def test_no_deprecated_submit_form_in_tree():
     """U1 gate: nothing shipped may still use the pre-JobSpec submit
     form (the DeprecationWarning shim exists for downstream users only;

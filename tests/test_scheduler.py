@@ -298,17 +298,20 @@ class TestContentKeyedAdmission:
         assert len(facts._cache) == 0
 
     def test_drained_pool_holds_no_per_job_analysis_state(self):
+        model = make_model("plate")
+
         def drained(n_jobs):
             pool = ServicePool(n_machines=2, config=small_config())
             for i in range(n_jobs):
-                pool.submit(spec_for(f"u{i}", make_model(f"m{n_jobs}.{i}"),
-                                     lint="warn"))
+                pool.submit(spec_for(f"u{i}", model, lint="warn"))
             pool.run()
             assert pool.stats["completed"] == n_jobs
-            # every dict the pool holds, by size; the compiled engine's
-            # plan cache is keyed by task names and is left out here
-            return {name: len(value) for name, value in vars(pool).items()
-                    if isinstance(value, dict) and name != "_plan_cache"}
+            # every dict the pool and its machines hold, by size: each
+            # job registers uniquely named tasks, so a per-job cache
+            # anywhere here would grow with the job count
+            return [{name: len(value) for name, value in vars(owner).items()
+                     if isinstance(value, dict)}
+                    for owner in (pool, *pool.machines)]
 
         assert drained(2) == drained(6)
 
